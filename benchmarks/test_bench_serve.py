@@ -1,7 +1,7 @@
 """Serve-plane latency snapshot (``BENCH_serve.json``).
 
-Drives a concurrent ask/feedback workload through the in-process serve
-surface (batched tenant stacks + shared completion cache), then persists
+Drives a concurrent ask/feedback workload through the HTTP server
+(loop-batched tenant stacks + shared completion cache), then persists
 client-side latency percentiles per route alongside the telemetry hub's
 own windowed view of the same traffic — the cross-check that the
 dashboard numbers describe reality. Scrape costs for ``/metrics`` and
@@ -25,6 +25,7 @@ from repro.serve import (
     ServeApp,
     ServeClient,
     TenantPolicy,
+    start_async_in_thread,
 )
 
 SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -55,7 +56,8 @@ def test_bench_serve_snapshot():
         policy=TenantPolicy(batch_max=4, batch_wait_ms=2.0),
         cache=CompletionCache(),
     )
-    client = ServeClient.in_process(app)
+    handle = start_async_in_thread(app)
+    client = ServeClient.connect(port=handle.port)
 
     samples: dict = {"ask": [], "feedback": []}
     lock = threading.Lock()
@@ -117,6 +119,8 @@ def test_bench_serve_snapshot():
         scrape_ms[name] = round(
             (time.perf_counter() - started) * 1000.0 / SCRAPE_ROUNDS, 4
         )
+
+    handle.stop()
 
     document = {
         "benchmark": "serve",

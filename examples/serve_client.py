@@ -14,7 +14,12 @@ Run:  python examples/serve_client.py
 from repro import obs
 from repro.core import DemonstrationRetriever
 from repro.datasets import build_aep_database, generate_aep_suite
-from repro.serve import CatalogEntry, ServeApp, ServeClient, start_in_thread
+from repro.serve import (
+    CatalogEntry,
+    ServeApp,
+    ServeClient,
+    start_async_in_thread,
+)
 
 
 def build_app() -> ServeApp:
@@ -28,8 +33,8 @@ def build_app() -> ServeApp:
 def main() -> None:
     obs.enable()  # the server is born instrumented: /metrics is live
     app = build_app()
-    server, _thread = start_in_thread(app)  # port 0 -> ephemeral
-    client = ServeClient.connect(port=server.port)
+    handle = start_async_in_thread(app)  # port 0 -> ephemeral
+    client = ServeClient.connect(port=handle.port)
 
     session = client.create_session(db="aep", tenant="demo")
     session_id = session["id"]
@@ -86,7 +91,7 @@ def main() -> None:
 
     app.begin_drain()
     app.await_idle(timeout=5.0)
-    server.shutdown()
+    handle.stop()
     print("server drained and stopped.")
 
 

@@ -10,9 +10,8 @@ polite to produce these shapes:
   transport (``read_timeout_ms``) the server must cut the connection
   loose instead of parking a thread or buffer on it forever.
 * :func:`torn_body` — declares ``Content-Length: N``, sends fewer than
-  ``N`` bytes, then half-closes. The server must answer 400 (threaded
-  transport) or drop the connection (async transport) — never hand a
-  truncated body to the app.
+  ``N`` bytes, then half-closes. The server must answer 400
+  (``incomplete_body``) — never hand a truncated body to the app.
 * :func:`oversized_body` — declares a huge ``Content-Length`` without
   sending the body. A capped transport answers 413 *before* reading
   (and before allocating) anything.
@@ -136,9 +135,8 @@ def torn_body(
     """Declare ``declared`` body bytes, send fewer, then half-close.
 
     Returns ``{"status": int|None, "body": bytes}`` — the transport's
-    verdict on the torn request. A hardened threaded transport answers
-    400 (``incomplete_body``); the async transport may simply drop the
-    connection (``status=None``), which is also a safe outcome. What
+    verdict on the torn request: always 400 (``incomplete_body``), with
+    ``status=None`` only if the connection dropped without a reply. What
     must never happen is a 2xx: that would mean a truncated body was
     parsed and applied.
     """

@@ -107,7 +107,7 @@ class OverloadError(ReproError):
 
     Raised by the serve layer's load-shedding gate (queue-depth caps,
     request deadlines) and by a draining/full
-    :class:`~repro.llm.dispatch.BatchingChatModel`. Deliberately *not* an
+    :class:`~repro.llm.dispatch.LoopBatchingChatModel`. Deliberately *not* an
     :class:`LLMError`: retry policies must not burn attempts on a request
     the system chose to reject, and the server maps it to a structured
     429/503 instead of a 502.
@@ -125,6 +125,3 @@ class OverloadError(ReproError):
         #: as a ``Retry-After`` response header on the shed 429/503.
         self.retry_after_s = retry_after_s
 
-
-class FeedbackError(ReproError):
-    """Raised when user feedback cannot be interpreted at all."""

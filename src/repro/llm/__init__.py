@@ -13,9 +13,9 @@ from repro.llm.router import (
     tiered_route_map,
 )
 from repro.llm.dispatch import (
-    BatchingChatModel,
     CachingChatModel,
     CompletionCache,
+    LoopBatchingChatModel,
     canonical_prompt_key,
     complete_batch,
     settle_batch,
@@ -42,13 +42,13 @@ __all__ = [
     "Backend",
     "BackendPool",
     "BackendSpec",
-    "BatchingChatModel",
     "CachingChatModel",
     "ChatModel",
     "Completion",
     "CompletionCache",
     "FakeOpenAIServer",
     "HttpChatModel",
+    "LoopBatchingChatModel",
     "RoutingChatModel",
     "KIND_FEEDBACK",
     "KIND_NL2SQL",

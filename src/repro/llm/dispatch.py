@@ -25,10 +25,11 @@ shape once, for every layer above it:
 * :class:`CachingChatModel` — a :class:`ChatModel` wrapper that consults
   the cache before dispatching, batch-aware on both sides: cache misses
   inside a batch are re-batched to the inner model.
-* :class:`BatchingChatModel` — a bounded-wait request coalescer: concurrent
-  ``complete`` calls from many threads are grouped into one
-  ``complete_batch`` dispatch (leader/follower, ``max_wait_ms`` bounded).
-  The serve layer hangs one of these per tenant.
+* :class:`LoopBatchingChatModel` — a bounded-wait request coalescer:
+  concurrent ``complete`` calls from the server's request threads are
+  grouped into one ``complete_batch`` dispatch on the server's event loop
+  (``max_wait_ms`` bounded). The serve layer hangs one of these per
+  tenant.
 
 Metric names: ``llm.batch_size`` (histogram, one observation per batch
 dispatch), ``cache.hit`` / ``cache.miss`` (counters, labelled by prompt
@@ -46,7 +47,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro import obs
-from repro.obs.context import current_request_id
+from repro.obs.context import current_request_id, request_context
 from repro.chaos.diskfaults import disk_fault
 from repro.datasets.base import Demonstration
 from repro.durability.atomic import read_checksummed_json, write_checksummed_json
@@ -430,201 +431,15 @@ class CachingChatModel:
         return results  # type: ignore[return-value]
 
 
-# -- bounded-wait request coalescing -----------------------------------------------
+def _settle_for(request_id, inner: ChatModel, prompts) -> list[BatchOutcome]:
+    """``settle_batch`` on behalf of a batch's first caller.
 
-
-class _PendingItem:
-    """One enqueued prompt awaiting its slot of a coalesced dispatch."""
-
-    __slots__ = ("prompt", "outcome", "done", "request_id")
-
-    def __init__(self, prompt: Prompt) -> None:
-        self.prompt = prompt
-        self.outcome: Optional[BatchOutcome] = None
-        self.done = False
-        # Captured at enqueue time: the leader dispatches on behalf of
-        # followers from *its* thread, so the follower's correlation id
-        # must ride the item, not the dispatching context.
-        self.request_id = current_request_id()
-
-
-class BatchingChatModel:
-    """Coalesces concurrent ``complete`` calls into batched dispatches.
-
-    Leader/follower over one condition variable: the first caller with no
-    active leader becomes the leader, waits up to ``max_wait_ms`` for the
-    queue to fill (or until ``max_batch`` items arrived), dispatches the
-    collected prompts as one settled batch against the inner model, and
-    distributes the per-item outcomes. A solitary caller therefore pays at
-    most ``max_wait_ms`` extra latency; concurrent callers on the same
-    model share one dispatch.
-
-    With ``max_batch=1`` the wrapper degenerates to pass-through
-    ``complete`` calls (no queueing, no added latency).
-
-    **Backpressure.** ``max_queue`` bounds the number of prompts waiting
-    for a coalesced dispatch; an enqueue beyond it is shed with
-    :class:`~repro.errors.OverloadError` instead of growing the queue
-    without limit. **Drain.** :meth:`begin_drain` rejects new prompts
-    (``OverloadError`` with reason ``draining``) while already-enqueued
-    ones run to completion; :meth:`await_idle` blocks until the queue is
-    empty and no dispatch is in flight — the SIGTERM half of graceful
-    shutdown.
+    The dispatch thread has no request context of its own; binding the
+    first caller's id labels what the inner stack records (cache
+    counters, retry events) as if that caller had dispatched the batch.
     """
-
-    def __init__(
-        self,
-        inner: ChatModel,
-        max_batch: int = 8,
-        max_wait_ms: float = 5.0,
-        max_queue: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1: {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0: {max_wait_ms}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1: {max_queue}")
-        self._inner = inner
-        self._max_batch = max_batch
-        self._max_wait = max_wait_ms / 1000.0
-        self._max_queue = max_queue
-        self._clock = clock
-        self._cond = threading.Condition()
-        self._queue: list[_PendingItem] = []
-        self._leader_active = False
-        self._draining = False
-        self.dispatches = 0
-        self.coalesced = 0
-        self.shed = 0
-
-    @property
-    def inner(self) -> ChatModel:
-        return self._inner
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def queued(self) -> int:
-        """Prompts currently waiting in the coalescer queue."""
-        with self._cond:
-            return len(self._queue)
-
-    def begin_drain(self) -> None:
-        """Reject new prompts; enqueued ones still dispatch and settle."""
-        with self._cond:
-            self._draining = True
-            self._cond.notify_all()
-
-    def await_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until the queue is empty and no leader is dispatching."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: not self._queue and not self._leader_active,
-                timeout=timeout,
-            )
-
-    def _shed(self, reason: str) -> OverloadError:
-        self.shed += 1
-        obs.count("llm.batch.shed", reason=reason)
-        if reason == "draining":
-            return OverloadError(
-                "batcher is draining; not accepting new prompts",
-                reason="draining",
-            )
-        return OverloadError(
-            f"batch queue is full ({self._max_queue} waiting); shedding",
-            reason="queue_full",
-        )
-
-    def complete(self, prompt: Prompt) -> Completion:
-        if self._max_batch == 1:
-            if self._draining:
-                with self._cond:
-                    raise self._shed("draining")
-            return self._inner.complete(prompt)
-        item = _PendingItem(prompt)
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            if (
-                self._max_queue is not None
-                and len(self._queue) >= self._max_queue
-            ):
-                raise self._shed("queue_full")
-            self._queue.append(item)
-            self._cond.notify_all()
-        while True:
-            batch: list[_PendingItem] = []
-            with self._cond:
-                if item.done:
-                    break
-                if self._leader_active:
-                    # Follower: wait for the current leader's round, then
-                    # re-check (our item may ride the next round).
-                    self._cond.wait(timeout=max(self._max_wait, 0.01))
-                    if item.done:
-                        break
-                    continue
-                self._leader_active = True
-                deadline = self._clock() + self._max_wait
-                while len(self._queue) < self._max_batch:
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                batch = self._queue[: self._max_batch]
-                del self._queue[: self._max_batch]
-            # Dispatch outside the lock so followers can keep enqueueing.
-            outcomes = settle_batch(
-                self._inner, [pending.prompt for pending in batch]
-            )
-            obs.event(
-                "llm.batch",
-                size=len(batch),
-                coalesced=True,
-                request_ids=sorted(
-                    {p.request_id for p in batch if p.request_id is not None}
-                ),
-            )
-            with self._cond:
-                for pending, outcome in zip(batch, outcomes):
-                    pending.outcome = outcome
-                    pending.done = True
-                self.dispatches += 1
-                self.coalesced += len(batch)
-                self._leader_active = False
-                self._cond.notify_all()
-            if item.done:
-                break
-        if isinstance(item.outcome, LLMError):
-            raise item.outcome
-        assert item.outcome is not None
-        return item.outcome
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """An explicit batch bypasses coalescing: it already is one."""
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            self.dispatches += 1
-            self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return complete_batch(self._inner, prompts)
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> list[BatchOutcome]:
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            self.dispatches += 1
-            self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return settle_batch(self._inner, prompts)
+    with request_context(request_id):
+        return settle_batch(inner, prompts)
 
 
 def _explicit_batch_event(size: int) -> None:
@@ -643,20 +458,26 @@ def _explicit_batch_event(size: int) -> None:
 class LoopBatchingChatModel:
     """Coalesces concurrent ``complete`` calls on an asyncio event loop.
 
-    The same contract as :class:`BatchingChatModel` — concurrent callers
-    on one model share a settled batch dispatch, with ``max_batch`` /
-    ``max_wait_ms`` / ``max_queue`` bounds, drain semantics, and the same
-    counters — but the grouping mechanism fits the async transport:
-    instead of request threads electing a leader and blocking each other
-    on a condition variable, each ``complete`` call (made from one of the
-    transport's executor threads) hands its prompt to the **event loop**
-    via ``call_soon_threadsafe`` and parks on a
-    :class:`concurrent.futures.Future`. On the loop, prompts accumulate
-    until the batch fills or one ``max_wait_ms`` timer tick fires; the
-    collected batch is then dispatched on a *separate* executor (never the
-    loop thread, never the request executor — that separation is what
-    makes the design deadlock-free), and the done-callback distributes
-    per-item outcomes back to the parked callers.
+    Concurrent callers on one model share one settled batch dispatch. Each
+    ``complete`` call (made from one of the transport's executor threads)
+    hands its prompt to the **event loop** via ``call_soon_threadsafe``
+    and parks on a :class:`concurrent.futures.Future`. On the loop,
+    prompts accumulate until ``max_batch`` arrived or one ``max_wait_ms``
+    timer tick fires; the collected batch is then dispatched on a
+    *separate* executor (never the loop thread, never the request
+    executor — that separation is what makes the design deadlock-free),
+    and the done-callback distributes per-item outcomes back to the
+    parked callers. A solitary caller therefore pays at most
+    ``max_wait_ms`` extra latency.
+
+    **Backpressure.** ``max_queue`` bounds the number of prompts waiting
+    for a coalesced dispatch; an enqueue beyond it is shed with
+    :class:`~repro.errors.OverloadError` instead of growing the queue
+    without limit. **Drain.** :meth:`begin_drain` rejects new prompts
+    (``OverloadError`` with reason ``draining``) while already-enqueued
+    ones still dispatch and settle; :meth:`await_idle` blocks until the
+    queue is empty and no dispatch is in flight — the SIGTERM half of
+    graceful shutdown.
 
     All queue/timer state is loop-confined — mutated only from loop
     callbacks — so the batcher itself needs no lock.
@@ -805,7 +626,7 @@ class LoopBatchingChatModel:
         self._dispatching += 1
         prompts = [prompt for prompt, _waiter, _rid in batch]
         future = self._loop.run_in_executor(
-            self._executor, settle_batch, self._inner, prompts
+            self._executor, _settle_for, batch[0][2], self._inner, prompts
         )
         future.add_done_callback(
             lambda done, batch=batch: self._distribute(batch, done)

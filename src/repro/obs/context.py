@@ -16,11 +16,11 @@ Usage::
 
 The id is honored from an ``X-Request-Id`` header when the caller sent
 one, else minted by :func:`new_request_id`. Batch coalescing is the one
-place a *different* thread finishes a request's work (the batch leader
-dispatches on behalf of followers); there the id is captured into the
-queued item at enqueue time (see
-:class:`repro.llm.dispatch.BatchingChatModel`) rather than read from the
-leader's context.
+place a *different* thread finishes a request's work (a dispatch thread
+runs the batch on behalf of every request in it); there the id is
+captured with the queued prompt at enqueue time (see
+:class:`repro.llm.dispatch.LoopBatchingChatModel`) rather than read from
+the dispatching thread's context.
 
 Everything here is also safe outside a request: :func:`current_request_id`
 returns ``None``, and every consumer treats "no id" as "emit nothing

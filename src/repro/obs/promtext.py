@@ -111,8 +111,8 @@ def render_prometheus(
     is disabled); ``telemetry`` is a ``TelemetryHub.snapshot()`` dict (or
     None when the server has no hub); ``backends`` is a
     ``BackendPool.health_snapshot()`` dict (or None for single-model
-    serving); ``loop`` is the async transport's loop-health snapshot (or
-    None under the threaded transport). Any source may be absent — the
+    serving); ``loop`` is the transport's loop-health snapshot (or None
+    when the app is driven in-process). Any source may be absent — the
     page is valid exposition regardless.
     """
     families: dict[str, _Family] = {}

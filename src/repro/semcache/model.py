@@ -1,7 +1,7 @@
 """A semantic-cache wrapper over :class:`repro.core.nl2sql.Nl2SqlModel`.
 
 This is the batch-run integration point: it sits *above* the entire
-dispatch stack (CachingChatModel, BatchingChatModel, the router, the
+dispatch stack (CachingChatModel, LoopBatchingChatModel, the router, the
 backends). A hit here re-parses the stored SQL locally and returns a full
 :class:`Nl2SqlPrediction` without calling the inner model at all — so
 ``nl2sql.predictions`` and every ``llm.*`` counter stay flat, which is

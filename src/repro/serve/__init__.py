@@ -14,24 +14,25 @@ Layers:
   canonical JSON codec, and structured error payloads.
 * :mod:`repro.serve.sessions` — thread-safe session registry with
   per-session locks, TTL + LRU eviction, and a max-sessions gate.
-* :mod:`repro.serve.server`  — the routes, per-tenant resilience stacks,
-  graceful drain, and the stdlib ``ThreadingHTTPServer`` binding.
-* :mod:`repro.serve.aserver` — the ``asyncio`` transport: one event loop
-  owns the sockets, a bounded executor runs the app, and loop health is
-  exported to ``/statusz`` and ``/metrics``.
+* :mod:`repro.serve.server`  — the transport-free app: routes, per-tenant
+  resilience stacks, and graceful drain.
+* :mod:`repro.serve.aserver` — the HTTP transport: one ``asyncio`` event
+  loop owns the sockets, a bounded executor runs the app, and loop
+  health is exported to ``/statusz`` and ``/metrics``.
 * :mod:`repro.serve.client`  — a blocking client over a real socket or an
   in-process transport (same bytes either way).
 
 Start one from the CLI with ``fisql-repro serve`` or in code::
 
-    from repro.serve import ServeApp, ServeClient, start_in_thread
+    from repro.serve import ServeApp, ServeClient, start_async_in_thread
 
     app = ServeApp.from_context(build_context(scale="small"))
-    server, _ = start_in_thread(app)
-    client = ServeClient.connect(port=server.port)
+    handle = start_async_in_thread(app)
+    client = ServeClient.connect(port=handle.port)
     session = client.create_session(db="aep")
     client.ask(session["id"], "How many audiences were created in January?")
     client.feedback(session["id"], "we are in 2024")
+    handle.stop()
 """
 
 from repro.serve.aserver import (
@@ -69,10 +70,7 @@ from repro.serve.server import (
     DEFAULT_DRAIN_GRACE,
     CatalogEntry,
     ServeApp,
-    ServeHTTPServer,
     TenantPolicy,
-    run_server,
-    start_in_thread,
 )
 from repro.serve.overload import LoadShedGate
 from repro.serve.sessions import (
@@ -106,7 +104,6 @@ __all__ = [
     "ServeApp",
     "ServeClient",
     "ServeClientError",
-    "ServeHTTPServer",
     "SessionError",
     "SessionLimitError",
     "SessionManager",
@@ -121,8 +118,6 @@ __all__ = [
     "normalize_idempotency_key",
     "normalize_request_id",
     "run_async_server",
-    "run_server",
     "start_async_in_thread",
-    "start_in_thread",
     "turn_view",
 ]

@@ -61,16 +61,6 @@ def columns_used(query: ast.Query) -> set[str]:
     return columns
 
 
-def aggregates_used(select: ast.Select) -> list[ast.FunctionCall]:
-    """Aggregate calls in the select list / HAVING / ORDER BY."""
-    found = []
-    for expr in _select_expressions(select):
-        for node in ast.walk_expressions(expr):
-            if ast.is_aggregate_call(node):
-                found.append(node)
-    return found
-
-
 def _select_expressions(select: ast.Select) -> list[ast.Expression]:
     exprs: list[ast.Expression] = [item.expression for item in select.items]
     if select.where is not None:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.datasets.aep import build_aep_database, generate_aep_suite
@@ -24,6 +28,21 @@ def aep_suite():
 @pytest.fixture(scope="session")
 def aep_db() -> Database:
     return build_aep_database()
+
+
+@pytest.fixture
+def loop_env():
+    """A live event loop on a daemon thread plus a dispatch executor —
+    the environment the serve transport hands to its loop batcher."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    executor = ThreadPoolExecutor(max_workers=2)
+    yield loop, executor
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=5)
+    loop.close()
+    executor.shutdown(wait=False)
 
 
 @pytest.fixture()

@@ -43,3 +43,11 @@ def enabled_obs():
         yield
     finally:
         obs.disable()
+
+
+@pytest.fixture
+def rejected(enabled_obs):
+    """Reads ``serve.transport.rejected`` for one refusal reason."""
+    return lambda reason: obs.get_metrics().counter_value(
+        "serve.transport.rejected", reason=reason
+    )

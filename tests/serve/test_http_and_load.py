@@ -4,7 +4,7 @@ Two guarantees pinned here:
 
 * **Transport parity** — the same scripted interaction against the same
   app state produces *byte-identical* response bodies over a real socket
-  (``ThreadingHTTPServer``) and the in-process transport.
+  (the asyncio server) and the in-process transport.
 * **Pipeline parity under load** — replaying SPIDER error-set
   interactions through the HTTP surface from ≥8 concurrent client
   threads yields, per session, exactly the bytes the in-process
@@ -25,11 +25,10 @@ from repro.eval.harness import build_context
 from repro.serve import (
     ServeApp,
     ServeClient,
-    ServeHTTPServer,
     SessionManager,
     answer_view,
     json_encode,
-    start_in_thread,
+    start_async_in_thread,
 )
 from repro.sql.parser import parse_query
 
@@ -66,10 +65,10 @@ class TestTransportParity:
             aep_catalog, manager=_sequential_manager()
         )
         socket_app = ServeApp(aep_catalog, manager=_sequential_manager())
-        server, _thread = start_in_thread(socket_app)
+        handle = start_async_in_thread(socket_app)
         try:
             in_process = ServeClient.in_process(in_process_app)
-            over_http = ServeClient.connect(port=server.port)
+            over_http = ServeClient.connect(port=handle.port)
             for method, path, payload in self.SCRIPT:
                 a_status, a_body = in_process.request_raw(
                     method, path, payload
@@ -80,16 +79,16 @@ class TestTransportParity:
                 assert a_status == b_status, (method, path)
                 assert a_body == b_body, (method, path)
         finally:
-            server.shutdown()
+            handle.stop()
 
     def test_http_content_type_is_json(self, aep_catalog):
         app = ServeApp(aep_catalog, manager=_sequential_manager())
-        server, _thread = start_in_thread(app)
+        handle = start_async_in_thread(app)
         try:
             import http.client
 
             connection = http.client.HTTPConnection(
-                "127.0.0.1", server.port, timeout=10
+                "127.0.0.1", handle.port, timeout=10
             )
             connection.request("GET", "/healthz")
             response = connection.getresponse()
@@ -98,7 +97,7 @@ class TestTransportParity:
             response.read()
             connection.close()
         finally:
-            server.shutdown()
+            handle.stop()
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +152,13 @@ class TestSpiderLoad:
         obs.enable()
         try:
             app = ServeApp.from_context(context, manager=_sequential_manager())
-            server, _thread = start_in_thread(app)
+            handle = start_async_in_thread(app)
             try:
                 results: dict = {}
                 failures: list = []
 
                 def worker(worker_id: int) -> None:
-                    client = ServeClient.connect(port=server.port)
+                    client = ServeClient.connect(port=handle.port)
                     for index in range(
                         worker_id, len(interactions), N_THREADS
                     ):
@@ -229,7 +228,7 @@ class TestSpiderLoad:
                 assert len(app.manager) == len(interactions)
 
                 # The /metrics exposition is populated with serve traffic.
-                metrics = ServeClient.connect(port=server.port).metrics()
+                metrics = ServeClient.connect(port=handle.port).metrics()
                 assert "fisql_serve_up 1" in metrics
                 assert "fisql_serve_requests_total" in metrics
                 registry = obs.get_metrics()
@@ -246,6 +245,6 @@ class TestSpiderLoad:
                     == expected_requests
                 )
             finally:
-                server.shutdown()
+                handle.stop()
         finally:
             obs.disable()

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import OverloadError
-from repro.llm.dispatch import BatchingChatModel
+from repro.llm.dispatch import LoopBatchingChatModel
 from repro.llm.interface import Completion, Prompt
 from repro.serve import (
     LoadShedGate,
@@ -230,10 +230,24 @@ class _GatedLLM:
         return Completion(text=prompt.text.upper())
 
 
+def _wait_queued(model: LoopBatchingChatModel) -> None:
+    """Until a prompt occupies the coalescer queue."""
+    for _ in range(1000):
+        if model.queued:
+            return
+        threading.Event().wait(0.005)
+    raise AssertionError("no prompt reached the coalescer queue")
+
+
 class TestBatcherDrain:
-    def test_inflight_batched_request_completes_during_drain(self):
+    def test_inflight_batched_request_completes_during_drain(self, loop_env):
         inner = _GatedLLM()
-        model = BatchingChatModel(inner, max_batch=4, max_wait_ms=5)
+        loop, executor = loop_env
+        # A long fill wait parks the prompt in the queue until the drain
+        # flushes it.
+        model = LoopBatchingChatModel(
+            inner, loop, executor, max_batch=4, max_wait_ms=60_000
+        )
         results = []
 
         def worker():
@@ -243,7 +257,8 @@ class TestBatcherDrain:
 
         thread = threading.Thread(target=worker)
         thread.start()
-        # The enqueued prompt is mid-batch when the drain begins.
+        _wait_queued(model)
+        # The prompt is still queued when the drain begins.
         model.begin_drain()
         with pytest.raises(OverloadError) as excinfo:
             model.complete(Prompt(kind="nl2sql", text="late"))
@@ -255,45 +270,46 @@ class TestBatcherDrain:
         assert model.await_idle(timeout=10)
         assert model.shed == 1
 
-    def test_queue_cap_sheds_queue_full(self):
+    def test_queue_cap_sheds_queue_full(self, loop_env):
         inner = _GatedLLM()
-        model = BatchingChatModel(
-            inner, max_batch=8, max_wait_ms=50, max_queue=1
+        loop, executor = loop_env
+        model = LoopBatchingChatModel(
+            inner,
+            loop,
+            executor,
+            max_batch=8,
+            max_wait_ms=60_000,
+            max_queue=1,
         )
-        started = threading.Event()
 
         def worker():
-            started.set()
             model.complete(Prompt(kind="nl2sql", text="first"))
 
         thread = threading.Thread(target=worker)
         thread.start()
-        started.wait(timeout=10)
-        # Wait for the first prompt to actually occupy the queue slot.
-        deadline = threading.Event()
-        for _ in range(200):
-            if model.queued:
-                break
-            deadline.wait(0.005)
+        _wait_queued(model)
         with pytest.raises(OverloadError) as excinfo:
             model.complete(Prompt(kind="nl2sql", text="second"))
         assert excinfo.value.reason == "queue_full"
+        model.begin_drain()  # flushes the parked first prompt
         inner.release.set()
         thread.join(timeout=10)
+        assert inner.served == ["first"]
 
     def test_app_drain_propagates_to_tenant_batchers(
-        self, aep_catalog, sequential_ids
+        self, aep_catalog, sequential_ids, loop_env
     ):
         app = ServeApp(
             aep_catalog,
             manager=SessionManager(id_factory=sequential_ids),
             policy=TenantPolicy(batch_max=4, batch_wait_ms=1.0),
         )
+        app.enable_loop_batching(*loop_env)
         client = ServeClient.in_process(app)
         session = client.create_session(db="aep", tenant="team-a")
         client.ask(session["id"], "How many audiences are there?")
         batcher = app.llm_for_tenant("team-a")
-        assert isinstance(batcher, BatchingChatModel)
+        assert isinstance(batcher, LoopBatchingChatModel)
         assert not batcher.draining
         app.begin_drain()
         assert batcher.draining

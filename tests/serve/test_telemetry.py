@@ -31,6 +31,7 @@ from repro.serve import (
     TenantPolicy,
     answer_view,
     json_encode,
+    start_async_in_thread,
 )
 
 QUESTION = "How many audiences were created in January?"
@@ -85,19 +86,19 @@ class TestRequestIds:
     def test_http_transport_carries_the_header_both_ways(
         self, aep_catalog, sequential_ids
     ):
-        from repro.serve import start_in_thread
+        from repro.serve import start_async_in_thread
 
         app = self._app(aep_catalog, sequential_ids)
-        server, _thread = start_in_thread(app)
+        handle = start_async_in_thread(app)
         try:
-            client = ServeClient.connect(port=server.port)
+            client = ServeClient.connect(port=handle.port)
             status, _body, headers = client.request_detailed(
                 "GET", "/healthz", headers={"X-Request-Id": "over-http-1"}
             )
             assert status == 200
             assert headers.get("X-Request-Id") == "over-http-1"
         finally:
-            server.shutdown()
+            handle.stop()
 
 
 class TestStatusz:
@@ -190,6 +191,7 @@ class TestEndToEndCorrelation:
         log = StructuredLog(tmp_path / "events")
         obs.set_event_log(log)
         journal = RunJournal(tmp_path / "journal")
+        handle = None
         try:
             app = ServeApp(
                 aep_catalog,
@@ -199,7 +201,9 @@ class TestEndToEndCorrelation:
                 journal=journal,
                 request_id_factory=obs.deterministic_id_factory("auto"),
             )
-            client = ServeClient.in_process(app)
+            # Over the wire: the request coalescer lives in the transport.
+            handle = start_async_in_thread(app)
+            client = ServeClient.connect(port=handle.port)
             session = client.create_session(db="aep", tenant="team-a")
             sid = session["id"]
             client.ask(sid, QUESTION)
@@ -273,6 +277,8 @@ class TestEndToEndCorrelation:
             assert appended
             assert appended[-1]["key"] == f"serve.turn/{sid}/4"
         finally:
+            if handle is not None:
+                handle.stop()
             journal.close()
             obs.disable()
 
@@ -286,7 +292,8 @@ class TestEndToEndCorrelation:
                 manager=SessionManager(id_factory=sequential_ids),
                 policy=TenantPolicy(batch_max=4, batch_wait_ms=5.0),
             )
-            client = ServeClient.in_process(app)
+            handle = start_async_in_thread(app)
+            client = ServeClient.connect(port=handle.port)
             sessions = [
                 client.create_session(db="aep", tenant=f"t{i % 2}")["id"]
                 for i in range(8)
@@ -319,6 +326,7 @@ class TestEndToEndCorrelation:
                 and record.attributes.get("route") == "ask"
             }
             assert by_rid == {f"rid-{i}" for i in range(8)}
+            handle.stop()
         finally:
             obs.disable()
 
