@@ -16,8 +16,10 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.assistant import Assistant, AssistantResponse
 from repro.core.explain import explanation_text
@@ -46,6 +48,46 @@ class ChatTurn:
     highlight: Optional[str] = None
 
 
+class ResponseMemo:
+    """What SQL strings derive on one database, shared by its sessions.
+
+    Served conversations keep reaching the same strings (semantic-cache
+    hits, popular corrections). A write to the database empties the memo
+    (:attr:`Database.version`); past ``max_entries`` the least recently
+    used string goes. Entries are shared: never mutate them.
+    """
+
+    def __init__(self, database: Database, max_entries: int = 256) -> None:
+        self._database = database
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+        self._version = database.version
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def derive(self, sql: str, compute: Callable[[str], tuple]) -> tuple:
+        """``compute(sql)``, or what it returned before for this data."""
+        with self._lock:
+            version = self._database.version
+            if version != self._version:
+                self._entries.clear()
+                self._version = version
+            derived = self._entries.get(sql)
+            if derived is not None:
+                self._entries.move_to_end(sql)
+                return derived
+        derived = compute(sql)
+        with self._lock:
+            if version == self._version:  # no write was seen meanwhile
+                self._entries[sql] = derived
+                if len(self._entries) > self._max_entries:
+                    self._entries.popitem(last=False)
+        return derived
+
+
 class ChatSession:
     """A stateful ask/feedback conversation against one database."""
 
@@ -58,8 +100,10 @@ class ChatSession:
         demo_store: Optional[FeedbackDemoStore] = None,
         semcache: "Optional[SemanticAnswerCache]" = None,
         tenant: str = "default",
+        responses: Optional[ResponseMemo] = None,
     ) -> None:
         self._database = database
+        self._responses = responses
         self._model = model
         self._llm = llm or model.llm
         self._routing = routing
@@ -185,6 +229,24 @@ class ChatSession:
 
     def _respond_with(self, sql: str, notes: list[str]) -> AssistantResponse:
         """Build the four-part response for an already-generated SQL."""
+        if self._responses is None:
+            derived = self._derive(sql)
+        else:
+            derived = self._responses.derive(sql, self._derive)
+        query, result, explanation, reformulation, error = derived
+        return AssistantResponse(
+            question=self._question or "",
+            prediction=Nl2SqlPrediction(
+                sql=sql, query=query, notes=list(notes)
+            ),
+            result=result,
+            reformulation=reformulation,
+            explanation=explanation,
+            error=error,
+        )
+
+    def _derive(self, sql: str) -> tuple:
+        """(query, result, explanation, reformulation, error) of a SQL."""
         query: Optional[ast.Select] = None
         try:
             parsed = parse_query(sql)
@@ -192,7 +254,6 @@ class ChatSession:
                 query = parsed
         except SqlError:
             query = None
-        prediction = Nl2SqlPrediction(sql=sql, query=query, notes=list(notes))
         result: Optional[QueryResult] = None
         error: Optional[str] = None
         explanation = ""
@@ -210,14 +271,7 @@ class ChatSession:
             reformulation = _reformulate(query)
         else:
             error = "the generated SQL could not be parsed"
-        return AssistantResponse(
-            question=self._question or "",
-            prediction=prediction,
-            result=result,
-            reformulation=reformulation,
-            explanation=explanation,
-            error=error,
-        )
+        return query, result, explanation, reformulation, error
 
     # -- persistence -------------------------------------------------------------
 

@@ -77,11 +77,16 @@ def atomic_write_text(
     a crash leaves either the complete old file or the complete new one.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
         disk_fault("disk.atomic_write", tmp_path=tmp_path, target=path)
-        with open(tmp_path, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(tmp_path, "w", encoding="utf-8")
+        except FileNotFoundError:
+            # First write into a new directory: create it, then retry.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(tmp_path, "w", encoding="utf-8")
+        with handle:
             handle.write(text)
             handle.flush()
             if fsync:
@@ -107,12 +112,14 @@ def write_checksummed_json(
     The document is itself canonical JSON, so two processes persisting
     equal payloads write byte-identical files.
     """
-    document = {
-        "algorithm": CHECKSUM_ALGORITHM,
-        "checksum": canonical_key(payload),
-        "payload": payload,
-    }
-    return atomic_write_text(path, canonical_json(document) + "\n", fsync=fsync)
+    body = canonical_json(payload)
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    # canonical_json of the envelope without serialising payload twice.
+    document = (
+        f'{{"algorithm":{json.dumps(CHECKSUM_ALGORITHM)},'
+        f'"checksum":{json.dumps(checksum)},"payload":{body}}}'
+    )
+    return atomic_write_text(path, document + "\n", fsync=fsync)
 
 
 def quarantine_file(path: Union[str, Path]) -> Optional[Path]:

@@ -23,6 +23,8 @@ schema change.
 
 from __future__ import annotations
 
+import functools
+
 from repro.durability.atomic import canonical_key
 from repro.sql.schema import DatabaseSchema
 
@@ -31,18 +33,38 @@ DISPLAY_DIGITS = 12
 
 
 def schema_fingerprint(schema: DatabaseSchema) -> str:
-    """A stable hex digest over the schema's tables, columns, and types."""
-    material = {
-        "database": schema.name.lower(),
-        "tables": [
-            {
-                "name": table.key,
-                "columns": sorted(
-                    [column.key, column.dtype.value, bool(column.primary_key)]
+    """A stable hex digest over the schema's tables, columns, and types,
+    memoised on the raw names, types and keys (cheaper than hashing)."""
+    return _fingerprint(
+        schema.name,
+        tuple(
+            (
+                table.name,
+                tuple(
+                    (column.name, column.dtype, bool(column.primary_key))
                     for column in table.columns
                 ),
+            )
+            for table in schema.tables
+        ),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _fingerprint(name: str, tables: tuple) -> str:
+    material = {
+        "database": name.lower(),
+        "tables": [
+            {
+                "name": table_name.lower(),
+                "columns": sorted(
+                    [column.lower(), dtype.value, primary_key]
+                    for column, dtype, primary_key in columns
+                ),
             }
-            for table in sorted(schema.tables, key=lambda table: table.key)
+            for table_name, columns in sorted(
+                tables, key=lambda table: table[0].lower()
+            )
         ],
     }
     return canonical_key(material)

@@ -40,6 +40,7 @@ key.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -163,6 +164,11 @@ class IntentSignature:
 
     def key(self) -> str:
         """A stable hex digest usable as a store key component."""
+        if "_key" not in self.__dict__:  # frozen: kept beside the fields
+            object.__setattr__(self, "_key", self._digest())
+        return self.__dict__["_key"]
+
+    def _digest(self) -> str:
         return canonical_key(
             {
                 "tokens": list(self.tokens),
@@ -365,7 +371,15 @@ def _extract_aggregates(
 
 
 def build_signature(question: str, schema: DatabaseSchema) -> IntentSignature:
-    """Extract the canonical :class:`IntentSignature` of a question."""
+    """Extract the canonical :class:`IntentSignature` of a question,
+    memoised per schema object like the lexicon it depends on."""
+    try:
+        return _memoised_signature(question, schema)
+    except TypeError:  # unhashable schema stand-ins
+        return _build_signature(question, schema)
+
+
+def _build_signature(question: str, schema: DatabaseSchema) -> IntentSignature:
     raw = tokenize(question)
     entities = tuple(sorted(quoted_strings(question)))
     entity_tokens = {entity.lower() for entity in entities}
@@ -432,3 +446,11 @@ def build_signature(question: str, schema: DatabaseSchema) -> IntentSignature:
         literals=tuple(literals),
         aggregates=tuple(aggregates),
     )
+
+
+#: Signatures memoised, least recently used dropped first.
+SIGNATURES_KEPT = 4096
+
+_memoised_signature = functools.lru_cache(maxsize=SIGNATURES_KEPT)(
+    _build_signature
+)

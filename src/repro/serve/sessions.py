@@ -4,7 +4,10 @@
 :class:`~repro.core.chat.ChatSession` objects. Its concurrency model:
 
 * One **manager lock** guards the registry map itself (create/lookup/
-  evict). It is never held across a chat turn.
+  evict). It is never held across a chat turn, nor across the disk
+  write that persists an evicted session: the evicting request writes
+  it after releasing the lock, and a resume of that session waits for
+  the write to land.
 * One **per-session lock** serializes the turns of a single conversation,
   so two racing requests against the same session cannot interleave their
   ask/feedback state. Different sessions proceed fully in parallel.
@@ -133,6 +136,10 @@ class SessionManager:
         self._store = store
         self._lock = threading.Lock()
         self._records: dict[str, SessionRecord] = {}
+        # Evicted session id -> eviction reason, while its state is being
+        # written to the store; ``_spilled`` is notified as each lands.
+        self._spilling: dict[str, str] = {}
+        self._spilled = threading.Condition(self._lock)
         self.created = 0
         self.evicted_ttl = 0
         self.evicted_lru = 0
@@ -204,42 +211,53 @@ class SessionManager:
             SessionError: ``resume_id`` is still resident, or its persisted
                 tenant/database does not match the request.
         """
-        with self._lock:
-            now = self._clock()
-            self._sweep_locked(now)
-            saved: Optional[dict] = None
-            if resume_id is not None:
-                saved = self._load_for_resume_locked(resume_id, tenant, db_id)
-            if len(self._records) >= self._max_sessions:
-                victim = self._lru_victim_locked()
-                if victim is None:
-                    self.rejected += 1
-                    obs.count("serve.sessions.rejected")
-                    raise SessionLimitError(self._max_sessions)
-                self._evict_locked(victim, reason="lru")
-            if resume_id is not None:
-                session_id = resume_id
-            else:
-                session_id = self._id_factory()
-            if session_id in self._records:
-                raise SessionError(
-                    f"id factory produced a duplicate id {session_id!r}"
-                )
-            chat = chat_factory()
-            if saved is not None:
-                chat.restore_state(saved["state"])
-            record = SessionRecord(session_id, tenant, db_id, chat, now)
-            if saved is not None:
-                record.idempotency.restore(saved.get("idempotency"))
-            self._records[session_id] = record
-            self.created += 1
-            obs.count("serve.sessions.created", tenant=tenant)
-            if saved is not None:
-                assert self._store is not None
-                self._store.pop(session_id)
-                self.restored += 1
-                obs.count("serve.sessions.restored", tenant=tenant)
-            return record
+        evicted: list[SessionRecord] = []
+        try:
+            with self._lock:
+                if resume_id is not None:
+                    self._spilled.wait_for(
+                        lambda: resume_id not in self._spilling
+                    )
+                now = self._clock()
+                evicted.extend(self._sweep_locked(now))
+                saved: Optional[dict] = None
+                if resume_id is not None:
+                    saved = self._load_for_resume_locked(
+                        resume_id, tenant, db_id
+                    )
+                if len(self._records) >= self._max_sessions:
+                    victim = self._lru_victim_locked()
+                    if victim is None:
+                        self.rejected += 1
+                        obs.count("serve.sessions.rejected")
+                        raise SessionLimitError(self._max_sessions)
+                    self._evict_locked(victim, reason="lru")
+                    evicted.append(victim)
+                if resume_id is not None:
+                    session_id = resume_id
+                else:
+                    session_id = self._id_factory()
+                if session_id in self._records:
+                    raise SessionError(
+                        f"id factory produced a duplicate id {session_id!r}"
+                    )
+                chat = chat_factory()
+                if saved is not None:
+                    chat.restore_state(saved["state"])
+                record = SessionRecord(session_id, tenant, db_id, chat, now)
+                if saved is not None:
+                    record.idempotency.restore(saved.get("idempotency"))
+                self._records[session_id] = record
+                self.created += 1
+                obs.count("serve.sessions.created", tenant=tenant)
+                if saved is not None:
+                    assert self._store is not None
+                    self._store.pop(session_id)
+                    self.restored += 1
+                    obs.count("serve.sessions.restored", tenant=tenant)
+                return record
+        finally:
+            self._spill(evicted)
 
     def _load_for_resume_locked(
         self, resume_id: str, tenant: str, db_id: str
@@ -276,8 +294,13 @@ class SessionManager:
 
     def sweep(self) -> list[str]:
         """Evict every TTL-expired idle session; returns the evicted IDs."""
-        with self._lock:
-            return self._sweep_locked(self._clock())
+        evicted: list[SessionRecord] = []
+        try:
+            with self._lock:
+                evicted.extend(self._sweep_locked(self._clock()))
+        finally:
+            self._spill(evicted)
+        return [record.session_id for record in evicted]
 
     @contextmanager
     def acquire(self, session_id: str) -> Iterator[SessionRecord]:
@@ -306,7 +329,7 @@ class SessionManager:
 
     # -- eviction internals (manager lock held) -------------------------------------
 
-    def _sweep_locked(self, now: float) -> list[str]:
+    def _sweep_locked(self, now: float) -> list[SessionRecord]:
         if self._ttl_seconds is None:
             return []
         expired = [
@@ -317,7 +340,7 @@ class SessionManager:
         ]
         for record in expired:
             self._evict_locked(record, reason="ttl")
-        return [record.session_id for record in expired]
+        return expired
 
     def _lru_victim_locked(self) -> Optional[SessionRecord]:
         idle = [
@@ -336,15 +359,28 @@ class SessionManager:
         else:
             self.evicted_lru += 1
         obs.count("serve.sessions.evicted", reason=reason)
-        # Only idle sessions are ever evicted, so reading the chat state
-        # here races with nothing.
         if self._store is not None:
-            if self._store.save(
-                record.session_id,
-                record.tenant,
-                record.db_id,
-                record.chat.state(),
-                idempotency=record.idempotency.state(),
-            ):
-                self.persisted += 1
+            self._spilling[record.session_id] = reason
+
+    def _spill(self, evicted: list[SessionRecord]) -> None:
+        """Persist evicted sessions (manager lock *not* held): they were
+        idle and are out of the registry, so nothing races this read."""
+        if self._store is None:
+            return
+        for record in evicted:
+            try:
+                persisted = self._store.save(
+                    record.session_id,
+                    record.tenant,
+                    record.db_id,
+                    record.chat.state(),
+                    idempotency=record.idempotency.state(),
+                )
+            finally:
+                with self._lock:
+                    reason = self._spilling.pop(record.session_id)
+                    self._spilled.notify_all()
+            if persisted:
+                with self._lock:
+                    self.persisted += 1
                 obs.count("serve.sessions.persisted", reason=reason)

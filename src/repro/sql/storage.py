@@ -20,6 +20,8 @@ class TableData:
     def __init__(self, table: Table) -> None:
         self.table = table
         self.rows: list[tuple[SqlValue, ...]] = []
+        #: Bumped by every write, so readers can tell the rows changed.
+        self.version = 0
         self._pk_index: dict[SqlValue, int] = {}
         pk = table.primary_key
         self._pk_position = table.columns.index(pk) if pk else None
@@ -44,6 +46,7 @@ class TableData:
             if key is not None:
                 self._pk_index[key] = len(self.rows)
         self.rows.append(row)
+        self.version += 1
 
     def insert_named(self, values: dict[str, SqlValue]) -> None:
         """Insert a row given a column-name → value mapping.
@@ -65,6 +68,7 @@ class TableData:
     def replace_rows(self, rows: Iterable[tuple[SqlValue, ...]]) -> None:
         """Replace all rows (used by UPDATE/DELETE); rebuilds the PK index."""
         self.rows = list(rows)
+        self.version += 1
         self._pk_index = {}
         if self._pk_position is not None:
             for index, row in enumerate(self.rows):

@@ -50,3 +50,16 @@ class TestRetrieval:
         retriever = DemonstrationRetriever(POOL, top_k=2)
         results = retriever.retrieve("List the names of the first 3 boats by size.")
         assert any("first 5 cars" in d.question for d in results)
+
+
+class TestRankingMemo:
+    def test_repeated_query_gets_an_equal_fresh_list(self):
+        retriever = DemonstrationRetriever(POOL, top_k=3)
+        first = retriever.retrieve("how many singers", db_id="aep")
+        first.clear()
+        again = retriever.retrieve("how many singers", db_id="aep")
+        fresh = DemonstrationRetriever(POOL, top_k=3).retrieve(
+            "how many singers", db_id="aep"
+        )
+        assert again == fresh
+        assert len(again) == 3

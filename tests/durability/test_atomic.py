@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.durability.atomic import (
+    CHECKSUM_ALGORITHM,
     atomic_write_text,
     canonical_json,
     canonical_key,
@@ -49,6 +50,18 @@ class TestAtomicWrite:
 
 
 class TestChecksummedJson:
+    def test_document_is_the_canonical_json_of_the_envelope(self, tmp_path):
+        payload = {"b": [1, 2.5, None, "é"], "a": {"z": True, "y": "x"}}
+        path = write_checksummed_json(tmp_path / "doc.json", payload)
+        envelope = {
+            "algorithm": CHECKSUM_ALGORITHM,
+            "checksum": canonical_key(payload),
+            "payload": payload,
+        }
+        assert path.read_text(encoding="utf-8") == (
+            canonical_json(envelope) + "\n"
+        )
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "doc.json"
         payload = {"version": 1, "items": [1, "two", None]}

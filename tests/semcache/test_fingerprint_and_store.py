@@ -42,6 +42,21 @@ def make_schema(name="shop", extra_table=False, price_type=DataType.REAL):
 
 
 class TestFingerprint:
+    def test_in_place_mutations_change_the_memoised_fingerprint(self):
+        schema = make_schema()
+        base = schema_fingerprint(schema)
+        assert schema_fingerprint(schema) == base
+        schema.tables[0].columns[1].dtype = DataType.INTEGER
+        retyped = schema_fingerprint(schema)
+        assert retyped == schema_fingerprint(
+            make_schema(price_type=DataType.INTEGER)
+        )
+        schema.tables[0].columns[2].name = "title"
+        renamed = schema_fingerprint(schema)
+        assert renamed not in (base, retyped)
+        schema.add_table(Table("audit_log", [Column("id", DataType.INTEGER)]))
+        assert schema_fingerprint(schema) not in (base, retyped, renamed)
+
     def test_identical_schemas_agree(self):
         assert schema_fingerprint(make_schema()) == schema_fingerprint(
             make_schema()

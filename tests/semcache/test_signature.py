@@ -212,3 +212,13 @@ class TestConstants:
 
     def test_limit_words_include_rankers(self):
         assert {"top", "cheapest", "first"} <= LIMIT_WORDS
+
+
+class TestMemo:
+    def test_repeated_question_reuses_its_signature(self):
+        schema = make_schema()
+        question = "show the 5 cheapest trips to Paris"
+        first = build_signature(question, schema)
+        assert build_signature(question, schema) is first
+        assert build_signature(question, make_schema()) == first
+        assert first.key() == build_signature(question, make_schema()).key()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import threading
 
 import pytest
 
@@ -145,6 +146,82 @@ class TestManagerPersistence:
         with pytest.raises(SessionError, match="database"):
             manager.create(FakeChat, tenant="acme", db_id="other", resume_id="s9")
         assert store.ids() == ["s9"]  # failed resumes keep the file
+
+
+class GatedStore(SessionStore):
+    """A store whose saves park until the test opens the gate."""
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self.saving = threading.Event()
+        self.gate = threading.Event()
+
+    def save(self, *args, **kwargs) -> bool:
+        self.saving.set()
+        assert self.gate.wait(timeout=10)
+        return super().save(*args, **kwargs)
+
+
+class TestSpillOutsideManagerLock:
+    """Persisting an evicted session must not stall other sessions."""
+
+    def _evict_in_background(self, tmp_path):
+        clock = FakeClock()
+        store = GatedStore(tmp_path)
+        manager = make_manager(store=store, max_sessions=2, clock=clock)
+        first = manager.create(FakeChat, tenant="acme", db_id="aep")
+        first.chat.turns.append({"role": "user", "text": "hi"})
+        clock.advance(1.0)
+        manager.create(FakeChat, tenant="acme", db_id="aep")
+        clock.advance(1.0)
+        creator = threading.Thread(
+            target=manager.create, args=(FakeChat, "acme", "aep")
+        )
+        creator.start()
+        assert store.saving.wait(timeout=10)  # s1 evicted, save parked
+        return manager, store, creator
+
+    def test_other_sessions_proceed_while_a_save_is_parked(self, tmp_path):
+        manager, store, creator = self._evict_in_background(tmp_path)
+        seen = []
+
+        def use_another_session():
+            # Each of these takes the manager lock.
+            seen.append(manager.peek_tenant("s2"))
+            with manager.acquire("s2") as record:
+                seen.append(record.session_id)
+            seen.append(sorted(manager.ids()))
+
+        user = threading.Thread(target=use_another_session)
+        user.start()
+        user.join(timeout=5)
+        finished = not user.is_alive()
+        store.gate.set()
+        creator.join(timeout=10)
+        user.join(timeout=10)
+        assert finished, "blocked behind the parked save"
+        assert seen == ["acme", "s2", ["s2", "s3"]]
+        assert manager.stats()["persisted"] == 1
+        assert store.ids() == ["s1"]
+
+    def test_resume_waits_for_the_parked_save(self, tmp_path):
+        manager, store, creator = self._evict_in_background(tmp_path)
+        resumed = []
+        resumer = threading.Thread(
+            target=lambda: resumed.append(
+                manager.create(FakeChat, "acme", "aep", resume_id="s1")
+            )
+        )
+        resumer.start()
+        resumer.join(timeout=0.2)
+        assert resumer.is_alive() and not resumed
+        store.gate.set()
+        creator.join(timeout=10)
+        resumer.join(timeout=10)
+        assert [record.session_id for record in resumed] == ["s1"]
+        assert resumed[0].chat.turns == [{"role": "user", "text": "hi"}]
+        # s1's file was consumed; admitting it evicted s2 in turn.
+        assert store.ids() == ["s2"]
 
 
 class TestServeResume:

@@ -146,3 +146,26 @@ class TestSplitStatements:
 
     def test_empty_statements_dropped(self):
         assert _split_statements(";;  ;") == []
+
+
+class TestVersion:
+    def test_every_write_changes_the_version(self, db):
+        seen = [db.version]
+        for statement in (
+            "INSERT INTO item VALUES (1, 'a', 1.0)",
+            "UPDATE item SET price = 2.0",
+            "DELETE FROM item WHERE id = 1",
+            "CREATE TABLE other (x INTEGER)",
+            "DROP TABLE other",
+        ):
+            db.execute(statement)
+            assert db.version not in seen, statement
+            seen.append(db.version)
+        db.load_rows("item", [(5, "e", 5.0)])
+        assert db.version not in seen
+
+    def test_queries_leave_the_version_alone(self, db):
+        db.execute("INSERT INTO item VALUES (1, 'a', 1.0)")
+        before = db.version
+        db.query("SELECT COUNT(*) FROM item")
+        assert db.version == before
